@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "sim/system_config.hh"
@@ -35,15 +36,6 @@ namespace
 {
 
 using namespace athena;
-
-std::uint64_t
-envOr(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtoull(v, nullptr, 10);
-}
 
 int mismatches = 0;
 
@@ -163,8 +155,8 @@ smokeResume(const SystemConfig &cfg,
 int
 main()
 {
-    const std::uint64_t instr = envOr("ATHENA_SIM_INSTR", 60000);
-    const std::uint64_t warm = envOr("ATHENA_WARMUP_INSTR", 15000);
+    const std::uint64_t instr = envUnsigned("ATHENA_SIM_INSTR", 60000);
+    const std::uint64_t warm = envUnsigned("ATHENA_WARMUP_INSTR", 15000);
     const char *json_env = std::getenv("ATHENA_BENCH_JSON");
     std::string json_path = json_env && *json_env
                                 ? json_env

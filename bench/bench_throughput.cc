@@ -73,6 +73,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/simd.hh"
 #include "sim/simulator.hh"
 #include "sim/system_config.hh"
@@ -83,15 +84,6 @@ namespace
 {
 
 using namespace athena;
-
-std::uint64_t
-envOr(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtoull(v, nullptr, 10);
-}
 
 struct Case
 {
@@ -232,10 +224,10 @@ runBaselineOnce(const std::string &binary, std::uint64_t instr,
 int
 main(int argc, char **argv)
 {
-    std::uint64_t instr = envOr("ATHENA_SIM_INSTR", 2000000);
-    std::uint64_t warmup = envOr("ATHENA_WARMUP_INSTR", 50000);
+    std::uint64_t instr = envUnsigned("ATHENA_SIM_INSTR", 2000000);
+    std::uint64_t warmup = envUnsigned("ATHENA_WARMUP_INSTR", 50000);
     auto repeats =
-        static_cast<unsigned>(envOr("ATHENA_BENCH_REPEATS", 3));
+        static_cast<unsigned>(envUnsigned("ATHENA_BENCH_REPEATS", 3));
     if (repeats == 0)
         repeats = 1;
     const char *ab_env = std::getenv("ATHENA_AB_BASELINE");

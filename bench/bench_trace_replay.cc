@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "sim/runner.hh"
 #include "sim/system_config.hh"
 #include "trace/trace_file.hh"
@@ -40,15 +41,6 @@ namespace
 {
 
 using namespace athena;
-
-std::uint64_t
-envOr(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtoull(v, nullptr, 10);
-}
 
 
 /** Capture @p records instructions of a zoo workload to a file. */
@@ -85,7 +77,7 @@ main(int argc, char **argv)
     if (paths.empty()) {
         // Self-contained mode: capture representative archetypes.
         std::uint64_t records =
-            envOr("ATHENA_CAPTURE_RECORDS", 200000);
+            envUnsigned("ATHENA_CAPTURE_RECORDS", 200000);
         auto workloads = evalWorkloads();
         const WorkloadSpec *chase = &workloads.front();
         const WorkloadSpec *irreg = &workloads.front();

@@ -89,11 +89,36 @@ struct CacheRef
 
 /**
  * One cache level. Indexed by cache-line number (byte addr >> 6).
+ *
+ * Host layout: every per-line field lives in its own row-major
+ * (set * ways + way) array, 29 host bytes per simulated line — the
+ * u64 lookup key, a u32 LRU stamp, one attribute byte (prefetched,
+ * off-chip, prefetcher slot), and the u64 readyAt and pfMeta —
+ * plus one MRU-hint byte per set. The simulated caches are almost
+ * all of a simulator's host memory (a 4-core system simulates
+ * ~280k lines), so the budget is pinned by test_cache.
  */
 class Cache
 {
   public:
+    /**
+     * @throw std::invalid_argument unless sizeBytes is exactly a
+     *        power-of-two number of sets of `ways` lines (ways in
+     *        [1, 255]). Rounding would silently simulate a smaller
+     *        cache than configured.
+     */
     explicit Cache(const CacheParams &params);
+
+    /**
+     * Fill slot of lines that must not generate prefetcher
+     * feedback (the LLC/L2 copies of an off-chip prefetch).
+     */
+    static constexpr std::uint8_t kNoFeedbackSlot = 0xff;
+    /**
+     * Prefetcher slots are stored in 6 bits; the all-ones code
+     * stands for kNoFeedbackSlot, so real slots must be below 63.
+     */
+    static constexpr unsigned kSlotLimit = 63;
 
     /** Precompute the lookup coordinates of a line (pure). */
     CacheRef
@@ -129,14 +154,13 @@ class Cache
             r.base + mruWay[setIndex(r.line)];
         if (tagv[idx] != r.key)
             return false;
-        Line &line = lines[idx];
-        if (line.prefetched)
+        if (attr[idx] & kAttrPrefetched)
             return false;
         ++statHits;
-        lru[idx] = ++lruClock;
-        ready = line.readyAt;
-        if (now > line.readyAt)
-            line.readyAt = now;
+        lru[idx] = nextStamp();
+        ready = readyAt[idx];
+        if (now > readyAt[idx])
+            readyAt[idx] = now;
         return true;
     }
 
@@ -166,7 +190,8 @@ class Cache
      * @param now        current cycle (LRU stamp)
      * @param ready_at   cycle the data actually arrives
      * @param is_prefetch fill caused by a prefetcher
-     * @param pf_slot    prefetcher slot index
+     * @param pf_slot    prefetcher slot index (< kSlotLimit, or
+     *                   kNoFeedbackSlot)
      * @param pf_meta    prefetcher credit token
      * @param pf_from_dram the prefetch data came from main memory
      */
@@ -203,7 +228,7 @@ class Cache
     {
         const std::size_t idx = set_base + way;
         if (tagv[idx] == key)
-            lines[idx].readyAt = ready_at;
+            readyAt[idx] = ready_at;
     }
 
     /** Invalidate a single line if present. */
@@ -216,12 +241,20 @@ class Cache
      * Snapshot contract: geometry guard (sets, ways) followed by
      * the full array state — tags, LRU stamps, MRU hints, per-line
      * prefetch attribution and readyAt — plus the stat counters.
+     * The byte format predates the compact layout: the clock and
+     * stamps are written as u64 and the attribute byte as two
+     * booleans plus the slot byte. A restored clock at or above
+     * 2^32 is renormalized (see rankStamps); a stamp above
+     * the clock or an unrepresentable slot throws SnapshotError.
      */
     void saveState(SnapshotWriter &w) const;
     void restoreState(SnapshotReader &r);
 
     const CacheParams &params() const { return cfg; }
     unsigned numSets() const { return sets; }
+
+    /** Host bytes held by the tag/metadata arrays (capacity). */
+    std::size_t hostBytes() const;
 
     // Cumulative statistics (never reset by epochs).
     std::uint64_t statHits = 0;
@@ -230,21 +263,49 @@ class Cache
     std::uint64_t statUnusedPrefetchEvictions = 0;
 
   private:
-    /**
-     * Cold per-line metadata. The tag and valid bit live separately
-     * in the packed #tagv array (lookup way-scan) and the LRU
-     * stamps in the packed #lru array (victim way-scan), so both
-     * hot scans stream through 8 bytes per way instead of pulling
-     * in this struct.
-     */
-    struct Line
+    /** #attr bits: the line was filled by a prefetch and has not
+     *  been demand-touched since; that prefetch came from DRAM;
+     *  the low six bits hold the encoded prefetcher slot. */
+    static constexpr std::uint8_t kAttrPrefetched = 0x80;
+    static constexpr std::uint8_t kAttrFromDram = 0x40;
+    static constexpr std::uint8_t kAttrSlotMask = 0x3f;
+
+    static std::uint8_t
+    encodeAttr(bool prefetched, bool from_dram, std::uint8_t slot)
     {
-        bool prefetched = false;
-        bool pfFromDram = false;
-        std::uint8_t pfSlot = 0;
-        std::uint64_t pfMeta = 0;
-        Cycle readyAt = 0;
-    };
+        return static_cast<std::uint8_t>(
+            (prefetched ? kAttrPrefetched : 0) |
+            (from_dram ? kAttrFromDram : 0) | (slot & kAttrSlotMask));
+    }
+    static std::uint8_t
+    slotOf(std::uint8_t a)
+    {
+        const std::uint8_t s = a & kAttrSlotMask;
+        return s == kAttrSlotMask ? kNoFeedbackSlot : s;
+    }
+
+    /**
+     * The next LRU stamp. Stamps are u32; when the clock would
+     * wrap, every set's stamps are first renormalized to their
+     * per-set rank, which leaves every victim choice unchanged.
+     */
+    std::uint32_t
+    nextStamp()
+    {
+        if (lruClock == UINT32_MAX) [[unlikely]]
+            rankStamps(lru.data());
+        return ++lruClock;
+    }
+
+    /**
+     * Replace each set's stamps by their dense rank within the set
+     * (read from @p src, sets * ways row-major, which may be #lru
+     * itself; written to #lru) and restart the clock above every
+     * rank. The victim scan only ever compares stamps of one set,
+     * so an order-preserving per-set relabelling is exact.
+     */
+    template <typename Stamp>
+    void rankStamps(const Stamp *src);
 
     unsigned setIndex(Addr line_num) const
     {
@@ -277,7 +338,7 @@ class Cache
     CacheParams cfg;
     unsigned sets;
     unsigned setBits;
-    std::uint64_t lruClock = 0;
+    std::uint32_t lruClock = 0;
     /**
      * Hot lookup keys, sets * ways row-major by set: packed
      * (tag << 1) | valid, 0 when invalid. This is the only array a
@@ -286,7 +347,7 @@ class Cache
     std::vector<std::uint64_t> tagv;
     /** LRU stamps, sets * ways row-major: the only array the
      *  victim scan of a fill has to read. */
-    std::vector<std::uint64_t> lru;
+    std::vector<std::uint32_t> lru;
     /**
      * Per-set most-recently-hit way — a way-prediction hint for the
      * demand lookup. Purely an optimization: the probe verifies the
@@ -296,7 +357,12 @@ class Cache
      * wins on every hit-heavy workload.
      */
     std::vector<std::uint8_t> mruWay;
-    std::vector<Line> lines; ///< sets * ways, row-major by set.
+    /** Per-line attribute bytes (kAttr* bits), sets * ways. */
+    std::vector<std::uint8_t> attr;
+    /** Cycle each line's data arrives, sets * ways. */
+    std::vector<Cycle> readyAt;
+    /** Prefetcher credit token of each line's fill, sets * ways. */
+    std::vector<std::uint64_t> pfMeta;
 };
 
 /**
@@ -320,7 +386,9 @@ struct BankedRef
  * coincide — so lookup/fill/victim behavior is bit-identical across
  * {1, 2, 4, ...} banks (pinned by test_shard_order.cc). Non-pow2
  * counts decode through the exact reciprocal division and simply
- * define a different (still valid) geometry.
+ * define a different (still valid) geometry, provided each bank is
+ * itself a power-of-two set count (e.g. 3 banks of a 3-core LLC);
+ * the constructor throws std::invalid_argument otherwise.
  *
  * Bank-local evictions are translated back to global line numbers
  * here, so downstream consumers (OCP eviction feed, pollution

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/stats.hh"
 #include "sim/thread_pool.hh"
 #include "snapshot/snapshot.hh"
@@ -25,15 +26,6 @@ namespace athena
 
 namespace
 {
-
-std::uint64_t
-envOr(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtoull(v, nullptr, 10);
-}
 
 /** Warmup-snapshot cache directory ("" = caching disabled). */
 std::string
@@ -64,13 +56,13 @@ RunBudget
 RunBudget::fromEnv()
 {
     RunBudget b;
-    b.simInstructions = envOr("ATHENA_SIM_INSTR", b.simInstructions);
+    b.simInstructions = envUnsigned("ATHENA_SIM_INSTR", b.simInstructions);
     b.warmupInstructions =
-        envOr("ATHENA_WARMUP_INSTR", b.warmupInstructions);
+        envUnsigned("ATHENA_WARMUP_INSTR", b.warmupInstructions);
     b.mcSimInstructions =
-        envOr("ATHENA_MC_INSTR", b.mcSimInstructions);
+        envUnsigned("ATHENA_MC_INSTR", b.mcSimInstructions);
     b.mcWarmupInstructions =
-        envOr("ATHENA_MC_WARMUP", b.mcWarmupInstructions);
+        envUnsigned("ATHENA_MC_WARMUP", b.mcWarmupInstructions);
     return b;
 }
 
@@ -168,23 +160,29 @@ ExperimentRunner::runMix(const SystemConfig &config,
                          std::to_string(warm));
 }
 
+SimResult
+ExperimentRunner::memoRun(const SystemConfig &config,
+                          const WorkloadSpec &spec)
+{
+    const auto key = std::make_pair(workloadKey(spec), config.configKey());
+    {
+        std::shared_lock<std::shared_mutex> lock(cacheMutex);
+        auto it = resultCache.find(key);
+        if (it != resultCache.end())
+            return it->second;
+    }
+    SimResult res = runOne(config, spec);
+    std::unique_lock<std::shared_mutex> lock(cacheMutex);
+    return resultCache.try_emplace(key, std::move(res)).first->second;
+}
+
 double
 ExperimentRunner::baselineIpc(const SystemConfig &config,
                               const WorkloadSpec &spec)
 {
     SystemConfig base = config;
     base.policy = PolicyKind::kAllOff;
-    auto key = std::make_pair(workloadKey(spec), base.configKey());
-    {
-        std::shared_lock<std::shared_mutex> lock(cacheMutex);
-        auto it = baselineCache.find(key);
-        if (it != baselineCache.end())
-            return it->second;
-    }
-    double ipc = runOne(base, spec).ipc();
-    std::unique_lock<std::shared_mutex> lock(cacheMutex);
-    baselineCache[key] = ipc;
-    return ipc;
+    return memoRun(base, spec).ipc();
 }
 
 std::vector<SpeedupRow>
@@ -195,23 +193,31 @@ ExperimentRunner::speedups(const SystemConfig &config,
     // indices baseline, odd indices policy), so a worker never
     // serializes a workload's baseline behind its policy run:
     // cold baselines for some workloads overlap with policy runs
-    // for others, and cached baselines cost one shared-lock lookup.
+    // for others, and memoized runs cost one shared-lock lookup.
+    // An all-off config is its own baseline: only the policy items
+    // run then, so the two never race to simulate the same key.
+    SystemConfig base_cfg = config;
+    base_cfg.policy = PolicyKind::kAllOff;
+    const bool own_baseline = base_cfg.configKey() == config.configKey();
     std::vector<SpeedupRow> rows(specs.size());
     std::vector<double> base(specs.size(), 0.0);
     parallelFor(2 * specs.size(), [&](std::size_t k) {
         const std::size_t i = k >> 1;
         const WorkloadSpec &spec = specs[i];
         if ((k & 1) == 0) {
-            base[i] = baselineIpc(config, spec);
+            if (!own_baseline)
+                base[i] = memoRun(base_cfg, spec).ipc();
             return;
         }
         SpeedupRow row;
         row.workload = spec.name;
         row.suite = spec.suite;
-        row.result = runOne(config, spec);
+        row.result = memoRun(config, spec);
         rows[i] = std::move(row);
     });
     for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (own_baseline)
+            base[i] = rows[i].result.ipc();
         rows[i].baselineIpc = base[i];
         rows[i].speedup = base[i] > 0.0
                               ? rows[i].result.ipc() / base[i]

@@ -5,9 +5,11 @@
  * no-prefetching / no-OCP baseline, broken down by suite and by the
  * prefetcher-adverse / prefetcher-friendly split of Fig. 1.
  *
- * Baseline runs are cached (keyed by the baseline config's content
- * hash and the workload's spec hash) and independent workloads run
- * in parallel across hardware threads. Simulation length is
+ * The runs behind speedups, baselineIpc and adverseSet are memoized
+ * (keyed by the config's content hash and the workload's spec hash),
+ * so a baseline or policy run shared by several sweeps is simulated
+ * once, and independent workloads run in parallel across hardware
+ * threads. Simulation length is
  * controlled by the ATHENA_SIM_INSTR / ATHENA_WARMUP_INSTR
  * environment variables (see RunBudget::fromEnv) so the benches
  * scale from smoke-test to full-fidelity.
@@ -90,7 +92,10 @@ struct RunBudget
     /**
      * Budgets from the ATHENA_SIM_INSTR / ATHENA_WARMUP_INSTR /
      * ATHENA_MC_INSTR / ATHENA_MC_WARMUP environment variables,
-     * with the defaults above where unset.
+     * with the defaults above where unset or empty.
+     *
+     * @throw std::invalid_argument naming the variable when a set
+     *        value is not an unsigned decimal integer.
      */
     static RunBudget fromEnv();
 };
@@ -104,18 +109,20 @@ class ExperimentRunner
     /** Instruction budgets applied to every simulation. */
     RunBudget budget;
 
-    /** Run one workload under one configuration. */
+    /** Run one workload under one configuration (never memoized:
+     *  every call simulates). */
     SimResult runOne(const SystemConfig &config,
                      const WorkloadSpec &spec) const;
 
     /**
      * Baseline (no prefetch, no OCP) IPC for a workload at the
-     * config's bandwidth; cached across calls.
+     * config's bandwidth; memoized across calls.
      */
     double baselineIpc(const SystemConfig &config,
                        const WorkloadSpec &spec);
 
-    /** Speedups of a config across a workload list (parallel). */
+    /** Speedups of a config across a workload list (parallel;
+     *  baseline and policy runs both go through the memo). */
     std::vector<SpeedupRow>
     speedups(const SystemConfig &config,
              const std::vector<WorkloadSpec> &specs);
@@ -166,6 +173,10 @@ class ExperimentRunner
     }
 
   private:
+    /** runOne through #resultCache: simulates only on a miss. */
+    SimResult memoRun(const SystemConfig &config,
+                      const WorkloadSpec &spec);
+
     /** Shared warmup-snapshot-cache machinery behind runOne and
      *  runMix: resume from dir/cache_key.asnp when present, else
      *  simulate warmup and publish the snapshot (temp + rename). */
@@ -182,15 +193,16 @@ class ExperimentRunner
      */
     std::shared_mutex cacheMutex;
     /**
-     * (workload spec hash, baseline config hash) -> baseline IPC.
+     * (workload spec hash, config hash) -> result of that run.
      * Content hashes, not labels: two configs that differ in any
      * behavior-affecting field get distinct entries, while sweeps
      * differing only in policy hyperparameters share the kAllOff
      * baseline (SystemConfig::configKey hashes policy-specific
-     * config only for the selected policy).
+     * config only for the selected policy), and a sweep's pf-only
+     * runs are the ones adverseSet already did.
      */
-    std::map<std::pair<std::uint64_t, std::uint64_t>, double>
-        baselineCache;
+    std::map<std::pair<std::uint64_t, std::uint64_t>, SimResult>
+        resultCache;
     /** pf-only config hash -> adverse workload names. */
     std::map<std::uint64_t, std::set<std::string>> adverseCache;
 

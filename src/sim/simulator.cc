@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <climits>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "athena/agent.hh"
+#include "common/env.hh"
 #include "common/simd.hh"
 #include "coord/simple.hh"
 #include "coord/tlp.hh"
@@ -38,8 +40,8 @@ namespace athena
 namespace
 {
 
-/** Slot marker for fills that must not generate feedback. */
-constexpr std::uint8_t kNoFeedbackSlot = 0xff;
+static_assert(kMaxPrefetchers <= Cache::kSlotLimit,
+              "prefetcher slots must fit the cache's slot field");
 
 /**
  * Process-wide batched-inference override: ATHENA_INFERENCE_BATCH=0
@@ -449,7 +451,8 @@ Simulator::dispatchPrefetchFeedbackUsed(unsigned core,
                                         Cycle demand_cycle)
 {
     CoreCtx &cc = *coreCtxs[core];
-    if (!res.firstPrefetchTouch || res.pfSlot == kNoFeedbackSlot)
+    if (!res.firstPrefetchTouch ||
+        res.pfSlot == Cache::kNoFeedbackSlot)
         return;
     if (res.pfSlot >= cc.prefetchers.size())
         return;
@@ -616,7 +619,7 @@ Simulator::issuePrefetch(unsigned core, unsigned slot,
                 from_dram = true;
                 CacheEviction ev =
                     llc->fill(llcref, cycle, ready, true,
-                              kNoFeedbackSlot, 0, true);
+                              Cache::kNoFeedbackSlot, 0, true);
                 patch.llc = PrefetchFillBatch::target(
                     llcref.ref, ev.filledWay);
                 patch.llcBank =
@@ -628,9 +631,9 @@ Simulator::issuePrefetch(unsigned core, unsigned slot,
         }
         // Fill the intermediate L2 on an off-chip prefetch path.
         if (from_dram) {
-            CacheEviction l2ev = cc.l2.fill(l2ref, cycle, ready,
-                                            true, kNoFeedbackSlot,
-                                            0, true);
+            CacheEviction l2ev =
+                cc.l2.fill(l2ref, cycle, ready, true,
+                           Cache::kNoFeedbackSlot, 0, true);
             patch.l2 =
                 PrefetchFillBatch::target(l2ref, l2ev.filledWay);
         }
@@ -676,7 +679,7 @@ Simulator::issuePrefetch(unsigned core, unsigned slot,
             ready = kPendingReady;
             from_dram = true;
             CacheEviction ev = llc->fill(llcref, cycle, ready, true,
-                                         kNoFeedbackSlot, 0, true);
+                                         Cache::kNoFeedbackSlot, 0, true);
             patch.llc = PrefetchFillBatch::target(llcref.ref,
                                                   ev.filledWay);
             patch.llcBank = static_cast<std::uint16_t>(llcref.bank);
@@ -1351,14 +1354,9 @@ unsigned
 Simulator::resolveStepThreads(const RunPlan &plan)
 {
     unsigned t = plan.stepThreads;
-    if (t == 0) {
-        if (const char *env = std::getenv("ATHENA_STEP_THREADS")) {
-            char *end = nullptr;
-            unsigned long v = std::strtoul(env, &end, 10);
-            if (end != env && *end == '\0')
-                t = static_cast<unsigned>(v);
-        }
-    }
+    if (t == 0)
+        t = static_cast<unsigned>(
+            envUnsigned("ATHENA_STEP_THREADS", 0, UINT_MAX));
     if (t == 0) {
         t = std::thread::hardware_concurrency();
         if (t == 0)

@@ -154,7 +154,10 @@ struct RunPlan
      *   0       auto: honor ATHENA_STEP_THREADS if set, else use
      *           std::thread::hardware_concurrency() — i.e. the
      *           parallel engine is on by default for cores >= 2
-     *           whenever the host has enough hardware threads.
+     *           whenever the host has enough hardware threads. A
+     *           set ATHENA_STEP_THREADS that is not an unsigned
+     *           integer makes a multi-core run() throw
+     *           std::invalid_argument.
      *   1       force the sequential StepPicker engine.
      *   >= cores  run the parallel engine (one stepping context
      *           per core).

@@ -24,7 +24,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <gtest/gtest.h>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -210,6 +212,36 @@ checkEngineEquivalence(const SystemConfig &cfg,
 }
 
 // ------------------------------------------------ schedule oracle
+
+TEST(ParallelStep, MalformedStepThreadsEnvThrows)
+{
+    // The suite may run under a pinned engine; put it back after.
+    const char *prev = std::getenv("ATHENA_STEP_THREADS");
+    const std::string saved = prev ? prev : "";
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
+    cfg.cores = 2;
+    const std::vector<WorkloadSpec> mix = stridedMix(2);
+    for (const char *bad : {"abc", "4x", "-1", " 2", "99999999999"}) {
+        setenv("ATHENA_STEP_THREADS", bad, 1);
+        Simulator sim(cfg, mix);
+        try {
+            sim.run(RunPlan(2000, 500));
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("ATHENA_STEP_THREADS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    setenv("ATHENA_STEP_THREADS", "", 1); // empty: auto
+    Simulator sim(cfg, mix);
+    EXPECT_NO_THROW(sim.run(RunPlan(2000, 500)));
+    if (prev)
+        setenv("ATHENA_STEP_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("ATHENA_STEP_THREADS");
+}
 
 TEST(ParallelStep, TwoCoreAthenaMix)
 {

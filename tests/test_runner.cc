@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,6 +57,27 @@ TEST_F(RunnerTest, EnvControlsInstructionCounts)
     EXPECT_EQ(runner.budget.warmupInstructions, 10000u);
     EXPECT_EQ(runner.budget.mcSimInstructions, 20000u);
     EXPECT_EQ(runner.budget.mcWarmupInstructions, 5000u);
+}
+
+TEST_F(RunnerTest, MalformedBudgetEnvThrows)
+{
+    for (const char *bad : {"abc", "40000x", "-5", " 7", "1e6",
+                            "99999999999999999999"}) {
+        setenv("ATHENA_SIM_INSTR", bad, 1);
+        try {
+            (void)RunBudget::fromEnv();
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("ATHENA_SIM_INSTR"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    setenv("ATHENA_SIM_INSTR", "", 1); // empty: the default
+    EXPECT_EQ(RunBudget::fromEnv().simInstructions,
+              RunBudget{}.simInstructions);
+    setenv("ATHENA_MC_WARMUP", "5k", 1);
+    EXPECT_THROW(RunBudget::fromEnv(), std::invalid_argument);
 }
 
 TEST_F(RunnerTest, ExplicitBudgetOverridesEnv)
@@ -147,6 +169,59 @@ TEST_F(RunnerTest, AdverseSetIsCachedAndSane)
     auto b = runner.adverseSet(cfg, subset);
     EXPECT_EQ(a, b);
     EXPECT_LE(a.size(), subset.size());
+}
+
+TEST_F(RunnerTest, SpeedupsReuseAdverseSetRuns)
+{
+    // Fig. 7's pf-only sweep is the run adverseSet already did: the
+    // memo must serve every row without simulating again, and the
+    // rows must equal a fresh runner's exactly.
+    auto workloads = evalWorkloads();
+    std::vector<WorkloadSpec> subset(workloads.begin(),
+                                     workloads.begin() + 4);
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kPfOnly);
+    ExperimentRunner runner;
+    (void)runner.adverseSet(cfg, subset);
+    const std::uint64_t warm = runner.warmupInstructionsSimulated();
+    EXPECT_GT(warm, 0u);
+    auto rows = runner.speedups(cfg, subset);
+    EXPECT_EQ(runner.warmupInstructionsSimulated(), warm);
+
+    ExperimentRunner fresh;
+    auto want = fresh.speedups(cfg, subset);
+    ASSERT_EQ(rows.size(), want.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].workload, want[i].workload);
+        EXPECT_EQ(rows[i].speedup, want[i].speedup) << want[i].workload;
+        EXPECT_EQ(rows[i].baselineIpc, want[i].baselineIpc)
+            << want[i].workload;
+        EXPECT_EQ(rows[i].result.cores[0].cycles,
+                  want[i].result.cores[0].cycles);
+        EXPECT_EQ(rows[i].result.cores[0].llcMisses,
+                  want[i].result.cores[0].llcMisses);
+        EXPECT_EQ(rows[i].result.cores[0].pf[0].issued,
+                  want[i].result.cores[0].pf[0].issued);
+        EXPECT_EQ(rows[i].result.dram.prefetchRequests,
+                  want[i].result.dram.prefetchRequests);
+    }
+}
+
+TEST_F(RunnerTest, AllOffSpeedupsAreTheirOwnBaseline)
+{
+    auto workloads = evalWorkloads();
+    std::vector<WorkloadSpec> subset(workloads.begin(),
+                                     workloads.begin() + 3);
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAllOff);
+    ExperimentRunner runner;
+    auto rows = runner.speedups(cfg, subset);
+    EXPECT_EQ(runner.warmupInstructionsSimulated(),
+              subset.size() * runner.budget.warmupInstructions);
+    for (const SpeedupRow &row : rows) {
+        EXPECT_EQ(row.speedup, 1.0) << row.workload;
+        EXPECT_GT(row.baselineIpc, 0.0) << row.workload;
+    }
 }
 
 TEST_F(RunnerTest, MixSpeedupIsPositive)

@@ -286,14 +286,16 @@ TEST(ShardOrder, OddShardCountsDivisionDecode)
 {
     // Non-pow2 bank and channel counts exercise the reciprocal
     // division decode on every shared access. The seq-vs-par oracle
-    // must hold there exactly as on the shift/mask path.
+    // must hold there exactly as on the shift/mask path. Three
+    // cores keep each of the 3 banks a whole power-of-two cache
+    // (9 MB / 3 = 4096 sets of 12 ways).
     SystemConfig cfg =
         makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    cfg.cores = 4;
+    cfg.cores = 3;
     cfg.llcBanks = 3;
     cfg.dramChannels = 3;
-    checkShardedEquivalence(cfg, stridedMix(4), 12000, 3000,
-                            "4c_b3ch3");
+    checkShardedEquivalence(cfg, stridedMix(3), 12000, 3000,
+                            "3c_b3ch3");
 }
 
 TEST(ShardOrder, GeometryMatrixSeqParEquality)
