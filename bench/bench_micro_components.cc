@@ -25,7 +25,6 @@
 #include "common/rng.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "ocp/popet.hh"
 #include "prefetch/prefetcher.hh"
 #include "sim/parallel_step.hh"
 #include "sim/simulator.hh"
@@ -75,34 +74,10 @@ BM_QVStoreSarsaUpdate(benchmark::State &state)
 BENCHMARK(BM_QVStoreSarsaUpdate);
 
 void
-BM_QVLookupBatch(benchmark::State &state)
-{
-    // The SoA batch kernel of the inference plane: all-action Q
-    // columns for 64 states in one lookupBatch pass (compare
-    // against BM_QVLookupScalarLoop, the same work as 64 x actions
-    // scalar q() calls).
-    athena::QVStore qv;
-    athena::Rng rng(31);
-    constexpr unsigned kBatch = 64;
-    std::array<std::uint32_t, kBatch> states;
-    std::vector<double> out(kBatch * qv.params().actions);
-    for (auto _ : state) {
-        for (std::uint32_t &s : states)
-            s = static_cast<std::uint32_t>(rng.next());
-        qv.lookupBatch(states.data(), kBatch, out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_QVLookupBatch);
-
-void
 BM_QVLookupScalarLoop(benchmark::State &state)
 {
-    // Scalar baseline for BM_QVLookupBatch: the same 64 states
-    // resolved one (state, action) q() call at a time.
+    // 64 random states resolved one (state, action) q() call at a
+    // time.
     athena::QVStore qv;
     athena::Rng rng(31);
     constexpr unsigned kBatch = 64;
@@ -125,316 +100,30 @@ BM_QVLookupScalarLoop(benchmark::State &state)
 BENCHMARK(BM_QVLookupScalarLoop);
 
 void
-BM_PopetFeatureHashBatch(benchmark::State &state)
-{
-    // The window collector's kernel: five feature indices for 256
-    // accesses, history threaded through the batch (compare against
-    // BM_PopetFeatureHashScalar, the batch-of-1 loop).
-    athena::PopetPredictor popet;
-    athena::Rng rng(32);
-    constexpr unsigned kBatch = 256;
-    std::array<std::uint64_t, kBatch> pcs;
-    std::array<athena::Addr, kBatch> addrs;
-    std::vector<std::uint16_t> idx(kBatch * 5);
-    for (auto _ : state) {
-        for (unsigned i = 0; i < kBatch; ++i) {
-            pcs[i] = 0x400000 + (rng.next() & 0xff) * 4;
-            addrs[i] = rng.next() & ((1ull << 30) - 1);
-        }
-        popet.featureIndicesBatch(pcs.data(), addrs.data(), kBatch,
-                                  idx.data());
-        benchmark::DoNotOptimize(idx.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_PopetFeatureHashBatch);
-
-void
-BM_PopetFeatureHashScalar(benchmark::State &state)
-{
-    // Scalar baseline for BM_PopetFeatureHashBatch: the same 256
-    // accesses through 256 batch-of-1 calls (per-call loop setup,
-    // no cross-access vectorization).
-    athena::PopetPredictor popet;
-    athena::Rng rng(32);
-    constexpr unsigned kBatch = 256;
-    std::array<std::uint64_t, kBatch> pcs;
-    std::array<athena::Addr, kBatch> addrs;
-    std::vector<std::uint16_t> idx(kBatch * 5);
-    for (auto _ : state) {
-        for (unsigned i = 0; i < kBatch; ++i) {
-            pcs[i] = 0x400000 + (rng.next() & 0xff) * 4;
-            addrs[i] = rng.next() & ((1ull << 30) - 1);
-        }
-        for (unsigned i = 0; i < kBatch; ++i) {
-            popet.featureIndicesBatch(&pcs[i], &addrs[i], 1,
-                                      &idx[i * 5]);
-        }
-        benchmark::DoNotOptimize(idx.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_PopetFeatureHashScalar);
-
-/**
- * Backend selector for the SIMD kernel pairs: Arg(0) = scalar,
- * Arg(1) = AVX2 (skipped with an error when the CPU lacks it, so
- * the pair reads cleanly on any host).
- */
-bool
-simdBenchBackend(benchmark::State &state, athena::simd::Backend &b)
-{
-    b = state.range(0) ? athena::simd::Backend::kAvx2
-                       : athena::simd::Backend::kScalar;
-    if (b == athena::simd::Backend::kAvx2 &&
-        !athena::simd::avx2Available()) {
-        state.SkipWithError("host lacks AVX2");
-        return false;
-    }
-    return true;
-}
-
-void
-BM_SimdMix64Batch(benchmark::State &state)
-{
-    athena::simd::Backend b;
-    if (!simdBenchBackend(state, b))
-        return;
-    constexpr unsigned kBatch = 256;
-    athena::Rng rng(41);
-    std::array<std::uint64_t, kBatch> in, out;
-    for (std::uint64_t &x : in)
-        x = rng.next();
-    for (auto _ : state) {
-        athena::simd::mix64Batch(b, in.data(), kBatch, out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_SimdMix64Batch)->Arg(0)->Arg(1);
-
-void
-BM_SimdKeyedHashMaskBatch(benchmark::State &state)
-{
-    // The QVStore plane-row materialization step: one plane's rows
-    // for 64 states.
-    athena::simd::Backend b;
-    if (!simdBenchBackend(state, b))
-        return;
-    constexpr unsigned kBatch = 64;
-    athena::Rng rng(42);
-    std::array<std::uint32_t, kBatch> xs;
-    std::array<std::uint32_t, kBatch> rows;
-    for (std::uint32_t &x : xs)
-        x = static_cast<std::uint32_t>(rng.next());
-    for (auto _ : state) {
-        for (unsigned p = 0; p < 8; ++p) {
-            athena::simd::keyedHashMaskBatch(b, xs.data(), kBatch, p,
-                                             63, rows.data());
-            benchmark::DoNotOptimize(rows.data());
-        }
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kBatch * 8);
-}
-BENCHMARK(BM_SimdKeyedHashMaskBatch)->Arg(0)->Arg(1);
-
-void
-BM_SimdPopetPureIndices(benchmark::State &state)
-{
-    // The window collector's memo-free kernel: four pure feature
-    // indices for 256 accesses.
-    athena::simd::Backend b;
-    if (!simdBenchBackend(state, b))
-        return;
-    constexpr unsigned kBatch = 256;
-    athena::Rng rng(43);
-    std::array<std::uint64_t, kBatch> pcs;
-    std::array<athena::Addr, kBatch> addrs;
-    std::vector<std::uint16_t> idx(kBatch * 4);
-    for (unsigned i = 0; i < kBatch; ++i) {
-        pcs[i] = 0x400000 + (rng.next() & 0xff) * 4;
-        addrs[i] = rng.next() & ((1ull << 30) - 1);
-    }
-    for (auto _ : state) {
-        athena::PopetPredictor::pureFeatureIndicesBatch(
-            b, pcs.data(), addrs.data(), kBatch, idx.data());
-        benchmark::DoNotOptimize(idx.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_SimdPopetPureIndices)->Arg(0)->Arg(1);
-
-void
-BM_SimdDeltaSeqFold(benchmark::State &state)
-{
-    // Pythia's four-step hashCombine fold over 256 packed history
-    // keys.
-    athena::simd::Backend b;
-    if (!simdBenchBackend(state, b))
-        return;
-    constexpr unsigned kBatch = 256;
-    athena::Rng rng(44);
-    std::array<std::uint32_t, kBatch> keys;
-    std::array<std::uint64_t, kBatch> out;
-    for (std::uint32_t &k : keys)
-        k = static_cast<std::uint32_t>(rng.next());
-    for (auto _ : state) {
-        athena::simd::deltaSeqFoldBatch(b, keys.data(), kBatch,
-                                        out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_SimdDeltaSeqFold)->Arg(0)->Arg(1);
-
-void
-BM_SimdAccumulateRows(benchmark::State &state)
-{
-    // The gather-free Q accumulation: 8 planes x 64 states x 4
-    // actions into the batch Q columns (float storage).
-    athena::simd::Backend b;
-    if (!simdBenchBackend(state, b))
-        return;
-    constexpr unsigned kBatch = 64, kActions = 4, kRows = 64;
-    athena::Rng rng(45);
-    std::vector<double> plane(kRows * kActions);
-    for (double &v : plane)
-        v = static_cast<double>(rng.next() % 255) / 16.0;
-    std::array<std::uint32_t, kBatch> rows;
-    for (std::uint32_t &r : rows)
-        r = static_cast<std::uint32_t>(rng.next() % kRows);
-    std::vector<double> q(kBatch * kActions);
-    for (auto _ : state) {
-        std::fill(q.begin(), q.end(), 0.0);
-        for (unsigned p = 0; p < 8; ++p) {
-            athena::simd::accumulateRowsF64(b, plane.data(),
-                                            rows.data(), kBatch,
-                                            kActions, q.data());
-        }
-        benchmark::DoNotOptimize(q.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kBatch * 8);
-}
-BENCHMARK(BM_SimdAccumulateRows)->Arg(0)->Arg(1);
-
-void
-BM_SimdStridedCollect(benchmark::State &state)
-{
-    // The record-window load discovery scan: collect demand-load
-    // positions from a 256-record window at trace-like density.
-    athena::simd::Backend b;
-    if (!simdBenchBackend(state, b))
-        return;
-    constexpr unsigned kLen = 256, kStride = 24;
-    athena::Rng rng(46);
-    std::vector<unsigned char> buf(kLen * kStride, 0);
-    for (unsigned i = 0; i < kLen; ++i)
-        buf[i * kStride + 16] = (rng.next() & 3) ? 1 : 2;
-    std::array<std::uint16_t, kLen> out;
-    for (auto _ : state) {
-        unsigned pos = 0;
-        unsigned total = 0;
-        while (pos < kLen) {
-            unsigned c = athena::simd::collectStridedByteEq(
-                b, buf.data() + 16, kStride, &pos, kLen, 1,
-                out.data(), 32);
-            total += c;
-            if (c < 32)
-                break;
-        }
-        benchmark::DoNotOptimize(total);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kLen);
-}
-BENCHMARK(BM_SimdStridedCollect)->Arg(0)->Arg(1);
-
-void
-BM_QVLookupBatchBackend(benchmark::State &state)
-{
-    // The whole lookupBatch plane with the backend pinned at
-    // construction — the end-to-end effect of the SoA row
-    // materialization + gather-free accumulate vs the PR 9 loop.
-    athena::simd::Backend b;
-    if (!simdBenchBackend(state, b))
-        return;
-    athena::simd::forceBackend(b);
-    athena::QVStore qv;
-    athena::simd::clearForcedBackend();
-    athena::Rng rng(47);
-    constexpr unsigned kBatch = 64;
-    std::array<std::uint32_t, kBatch> states;
-    std::vector<double> out(kBatch * qv.params().actions);
-    for (auto _ : state) {
-        for (std::uint32_t &s : states)
-            s = static_cast<std::uint32_t>(rng.next());
-        qv.lookupBatch(states.data(), kBatch, out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_QVLookupBatchBackend)->Arg(0)->Arg(1);
-
-void
-BM_QVTrainEpochBatch(benchmark::State &state)
-{
-    // The per-epoch batch trainer: 32 buffered SARSA triples
-    // applied in one updateBatch pass (compare against
-    // BM_QVTrainEpochScalar).
-    athena::QVStore qv;
-    athena::Rng rng(33);
-    constexpr unsigned kBatch = 32;
-    std::array<athena::QVStore::TrainTriple, kBatch> triples;
-    for (auto _ : state) {
-        for (athena::QVStore::TrainTriple &t : triples) {
-            t.s = static_cast<std::uint32_t>(rng.next());
-            t.a = static_cast<unsigned>(rng.next() & 3);
-            t.reward = 0.5;
-            t.sNext = static_cast<std::uint32_t>(rng.next());
-            t.aNext = static_cast<unsigned>(rng.next() & 3);
-        }
-        qv.updateBatch(triples.data(), kBatch);
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_QVTrainEpochBatch);
-
-void
 BM_QVTrainEpochScalar(benchmark::State &state)
 {
-    // Scalar baseline for BM_QVTrainEpochBatch: the same 32
-    // triples through one update() call each.
+    // 32 random SARSA triples through one update() call each.
+    struct Triple
+    {
+        std::uint32_t s;
+        unsigned a;
+        double reward;
+        std::uint32_t sNext;
+        unsigned aNext;
+    };
     athena::QVStore qv;
     athena::Rng rng(33);
     constexpr unsigned kBatch = 32;
-    std::array<athena::QVStore::TrainTriple, kBatch> triples;
+    std::array<Triple, kBatch> triples;
     for (auto _ : state) {
-        for (athena::QVStore::TrainTriple &t : triples) {
+        for (Triple &t : triples) {
             t.s = static_cast<std::uint32_t>(rng.next());
             t.a = static_cast<unsigned>(rng.next() & 3);
             t.reward = 0.5;
             t.sNext = static_cast<std::uint32_t>(rng.next());
             t.aNext = static_cast<unsigned>(rng.next() & 3);
         }
-        for (const athena::QVStore::TrainTriple &t : triples)
+        for (const Triple &t : triples)
             qv.update(t.s, t.a, t.reward, t.sNext, t.aNext);
         benchmark::ClobberMemory();
     }

@@ -66,17 +66,8 @@ struct AthenaConfig
     /** Coordinate two prefetchers instead of PF-group + OCP
      *  (prefetcher-only management, section 7.6). */
     bool prefetcherOnlyMode = false;
-    /**
-     * Buffer SARSA triples across consecutive exploratory epochs
-     * and apply them in one QVStore::updateBatch pass (PR 9
-     * inference plane). Off = apply each triple as it is produced
-     * (a batch of one) — the pre-batching scalar behavior. Both
-     * modes are bit-identical (updateBatch replays triples in
-     * exact scalar order), so this is excluded from the config
-     * key; the simulator slaves it to the plane knob so the bench
-     * A/B compares the whole plane against the faithful scalar
-     * engine.
-     */
+    /** Read by no simulator code; only perfbench/layers.cc assigns
+     *  it. The next benchmark change removes it. */
     bool batchedTraining = true;
     std::uint64_t seed = 42;
 };
@@ -93,8 +84,7 @@ class AthenaAgent : public CoordinationPolicy
     void reset() override;
 
     /** Snapshot contract: the QVStore, RNG, previous-epoch SARSA
-     *  context, the action histogram, and any training triples
-     *  still buffered for the next batched update pass. */
+     *  context, and the action histogram. */
     void saveState(SnapshotWriter &w) const override;
     void restoreState(SnapshotReader &r) override;
 
@@ -128,27 +118,12 @@ class AthenaAgent : public CoordinationPolicy
     /** Degree scale via Algorithm 1 for the chosen action. */
     double degreeScaleFor(std::uint32_t state, unsigned action) const;
 
-    /** Apply the buffered SARSA triples in one batched QVStore
-     *  pass. Called before every Q read, so deferring the updates
-     *  is unobservable: reads and updates interleave exactly as
-     *  the incremental path would. */
-    void flushTraining();
-
     AthenaConfig cfg;
     StateEncoder encoder;
     QVStore qvstore;
     CompositeReward compositeReward;
     IpcReward ipcReward;
     Rng rng;
-
-    /**
-     * Per-epoch training buffer: each epoch close queues its SARSA
-     * triple here; the buffer drains through QVStore::updateBatch
-     * at the next Q read (immediately, on the greedy path — or
-     * after a run of exploratory epochs, whose decisions read no
-     * Q-values, as one multi-triple batch).
-     */
-    std::vector<QVStore::TrainTriple> pendingTrain;
 
     bool havePrev = false;
     EpochStats prevStats;

@@ -30,9 +30,6 @@ QVStore::QVStore(const QVStoreParams &params) : cfg(params)
     if (cfg.memoizeRows && state_bits <= kMemoMaxStateBits)
         memoStates = 1u << state_bits;
     rowScratch.resize(cfg.planes);
-    backend = simd::activeBackend();
-    vectorRows =
-        cfg.rows != 0 && (cfg.rows & (cfg.rows - 1)) == 0;
     reset();
 }
 
@@ -177,108 +174,6 @@ QVStore::qAllActions(std::uint32_t state, double *out) const
     }
 }
 
-void
-QVStore::materializeRowsSoA(const std::uint32_t *states,
-                            std::size_t n) const
-{
-    batchRows.resize(static_cast<std::size_t>(cfg.planes) * n);
-    const unsigned half = (cfg.planes + 1) / 2;
-    const std::uint32_t row_mask = cfg.rows - 1;
-    const auto count = static_cast<unsigned>(n);
-    for (unsigned p = 0; p < half; ++p) {
-        simd::keyedHashMaskBatch(backend, states, count, p,
-                                 row_mask, &batchRows[p * n]);
-    }
-    if (half == cfg.planes)
-        return;
-    // Coarse planes differ only in the tiling offset's parity, so
-    // both coarsened state streams are staged once and each plane
-    // hashes its parity's lane with its own key — same per-state
-    // math as rowOf(), batched.
-    coarseScratch.resize(2 * n);
-    const std::uint32_t field_mask = (1u << cfg.bitsPerField) - 1;
-    const std::uint32_t max_level = field_mask;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t c0 = 0;
-        std::uint32_t c1 = 0;
-        for (unsigned f = 0; f < cfg.stateFields; ++f) {
-            std::uint32_t level =
-                (states[i] >> (f * cfg.bitsPerField)) & field_mask;
-            c0 = (c0 << (cfg.bitsPerField - 1)) | (level >> 1);
-            std::uint32_t shifted =
-                std::min(max_level, level + 1);
-            c1 = (c1 << (cfg.bitsPerField - 1)) | (shifted >> 1);
-        }
-        coarseScratch[i] = c0;
-        coarseScratch[n + i] = c1;
-    }
-    for (unsigned p = half; p < cfg.planes; ++p) {
-        unsigned offset = (p - half) & 1;
-        simd::keyedHashMaskBatch(backend, &coarseScratch[offset * n],
-                                 count, 64 + p, row_mask,
-                                 &batchRows[p * n]);
-    }
-}
-
-void
-QVStore::qRowsBatch(const std::uint32_t *states, std::size_t n,
-                    std::uint32_t *rows_out) const
-{
-    if (backend != simd::Backend::kScalar && vectorRows && n != 0) {
-        materializeRowsSoA(states, n);
-        // Transpose the plane-major staging into the documented
-        // n x planes layout.
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint32_t *dst = rows_out + i * cfg.planes;
-            for (unsigned p = 0; p < cfg.planes; ++p)
-                dst[p] = batchRows[p * n + i];
-        }
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        // Copied out of the memo/scratch row: the scratch pointer
-        // is invalidated by the next rowsFor() call.
-        const std::uint32_t *rows = rowsFor(states[i]);
-        std::uint32_t *dst = rows_out + i * cfg.planes;
-        for (unsigned p = 0; p < cfg.planes; ++p)
-            dst[p] = rows[p];
-    }
-}
-
-void
-QVStore::lookupBatch(const std::uint32_t *states, std::size_t n,
-                     double *q_out) const
-{
-    if (backend != simd::Backend::kScalar && vectorRows && n != 0) {
-        // Gather-free wide path: rows land plane-major, then each
-        // plane accumulates its contiguous action rows into q_out
-        // in plane order p = 0..k-1 — the same one-add-per-element
-        // order qAllActions() uses, so every q_out value is
-        // bit-identical to the scalar path.
-        materializeRowsSoA(states, n);
-        std::fill(q_out, q_out + n * cfg.actions, 0.0);
-        const auto count = static_cast<unsigned>(n);
-        for (unsigned p = 0; p < cfg.planes; ++p) {
-            const std::uint32_t *rows = &batchRows[p * n];
-            const std::size_t plane_base =
-                static_cast<std::size_t>(p) * cfg.rows *
-                cfg.actions;
-            if (cfg.quantized) {
-                simd::accumulateRowsI8(
-                    backend, &fixedEntries[plane_base], rows, count,
-                    cfg.actions, kFixedScale, q_out);
-            } else {
-                simd::accumulateRowsF64(
-                    backend, &floatEntries[plane_base], rows, count,
-                    cfg.actions, q_out);
-            }
-        }
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        qAllActions(states[i], q_out + i * cfg.actions);
-}
-
 unsigned
 QVStore::argmax(std::uint32_t state) const
 {
@@ -366,45 +261,6 @@ QVStore::update(std::uint32_t s, unsigned a, double reward,
                        static_cast<double>(cfg.planes);
     for (unsigned p = 0; p < cfg.planes; ++p)
         addToEntry(p, rows_s[p], a, per_plane);
-}
-
-void
-QVStore::updateBatch(const TrainTriple *triples, std::size_t n)
-{
-    if (n == 0)
-        return;
-    // Phase 1: resolve both states' plane rows for every triple in
-    // one pass. Row hashing is pure — it reads only the row memo,
-    // never the entries — so hoisting it out of the apply loop
-    // cannot change what any apply observes. Copied out because the
-    // scratch-path pointer is invalidated per rowsFor() call.
-    trainRows.resize(n * 2 * cfg.planes);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t *rs = rowsFor(triples[i].s);
-        std::uint32_t *dst = &trainRows[2 * i * cfg.planes];
-        for (unsigned p = 0; p < cfg.planes; ++p)
-            dst[p] = rs[p];
-        const std::uint32_t *rn = rowsFor(triples[i].sNext);
-        for (unsigned p = 0; p < cfg.planes; ++p)
-            dst[cfg.planes + p] = rn[p];
-    }
-    // Phase 2: apply in the original order. Each iteration's entry
-    // reads and writes — including the stochastic-rounding RNG
-    // advance per quantized write — interleave exactly as n
-    // update() calls would, so the batch is bit-identical to the
-    // incremental sequence.
-    for (std::size_t i = 0; i < n; ++i) {
-        const TrainTriple &t = triples[i];
-        const std::uint32_t *rows_s = &trainRows[2 * i * cfg.planes];
-        const std::uint32_t *rows_n = rows_s + cfg.planes;
-        double q_next = qRows(rows_n, t.aNext);
-        double td_error =
-            t.reward + cfg.gamma * q_next - qRows(rows_s, t.a);
-        double per_plane = cfg.alpha * td_error /
-                           static_cast<double>(cfg.planes);
-        for (unsigned p = 0; p < cfg.planes; ++p)
-            addToEntry(p, rows_s[p], t.a, per_plane);
-    }
 }
 
 void

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/simd.hh"
 #include "common/types.hh"
 
 namespace athena
@@ -86,16 +85,6 @@ class QVStore
      */
     static constexpr unsigned kMaxActionColumns = 16;
 
-    /** One buffered SARSA training triple (updateBatch). */
-    struct TrainTriple
-    {
-        std::uint32_t s = 0;
-        unsigned a = 0;
-        double reward = 0.0;
-        std::uint32_t sNext = 0;
-        unsigned aNext = 0;
-    };
-
     /** Summed Q-value of (state, action). */
     double q(std::uint32_t state, unsigned action) const;
 
@@ -109,22 +98,6 @@ class QVStore
      * plane order the per-action scan uses.
      */
     void qAllActions(std::uint32_t state, double *out) const;
-
-    /**
-     * Resolve every plane's row index for @p n states in one pass
-     * over the row memo. rows_out is n x planes, row-major. Row
-     * indices are a pure function of (state, geometry), so the
-     * batch is exact by construction.
-     */
-    void qRowsBatch(const std::uint32_t *states, std::size_t n,
-                    std::uint32_t *rows_out) const;
-
-    /**
-     * Batched lookup: q_out is n x actions, row-major; row i is
-     * bit-identical to {q(states[i], a) for each action}.
-     */
-    void lookupBatch(const std::uint32_t *states, std::size_t n,
-                     double *q_out) const;
 
     /** Action with the highest Q-value in @p state. */
     unsigned argmax(std::uint32_t state) const;
@@ -149,19 +122,6 @@ class QVStore
     void update(std::uint32_t s, unsigned a, double reward,
                 std::uint32_t s_next, unsigned a_next);
 
-    /**
-     * Apply @p n SARSA updates in their given order as one batched
-     * pass: phase 1 resolves both states' plane rows for every
-     * triple up front (pure row hashing, amortized over the batch);
-     * phase 2 applies the updates in the original order with
-     * arithmetic identical to update() — same entry reads, same
-     * per-plane write order, and in quantized mode the same
-     * saturating int8 stochastic-rounding RNG sequence. Provably
-     * order-equivalent to n update() calls (the hoisted phase-1
-     * work touches only the pure row memo, never the entries).
-     */
-    void updateBatch(const TrainTriple *triples, std::size_t n);
-
     void reset();
 
     /**
@@ -174,9 +134,6 @@ class QVStore
     void restoreState(SnapshotReader &r);
 
     const QVStoreParams &params() const { return cfg; }
-
-    /** Backend captured at construction (simd::activeBackend()). */
-    simd::Backend simdBackend() const { return backend; }
 
     /** Table 4 storage accounting: planes x rows x actions x 8 b. */
     std::size_t
@@ -207,19 +164,6 @@ class QVStore
     /** Summed Q over planes with pre-resolved row indices. */
     double qRows(const std::uint32_t *rows, unsigned action) const;
 
-    /**
-     * Fill batchRows with every plane's row index for @p n states,
-     * laid out plane-major (batchRows[p * n + i] is state i's row
-     * in plane p) so each plane's hash kernel streams one
-     * contiguous lane — the gather-free layout the AVX2 batch path
-     * reads. Recomputes memo-free (row hashing is pure, so results
-     * match the memo path bit-for-bit); full-resolution planes
-     * vector-hash the raw states, coarse planes hash the two
-     * tile-offset coarsenings staged once in coarseScratch.
-     */
-    void materializeRowsSoA(const std::uint32_t *states,
-                            std::size_t n) const;
-
     double entry(unsigned p, std::size_t row, unsigned a) const;
     void addToEntry(unsigned p, std::size_t row, unsigned a,
                     double delta);
@@ -239,18 +183,6 @@ class QVStore
     mutable std::vector<std::uint8_t> memoValid;
     /** Fallback row buffer for out-of-range states. */
     mutable std::vector<std::uint32_t> rowScratch;
-    /** updateBatch phase-1 row staging (reused across batches). */
-    std::vector<std::uint32_t> trainRows;
-
-    /** SIMD backend, latched once at construction. */
-    simd::Backend backend = simd::Backend::kScalar;
-    /** Wide row path requires a power-of-two row count (hash masks
-     *  replace the scalar modulo); other geometries stay scalar. */
-    bool vectorRows = false;
-    /** materializeRowsSoA staging: planes x n, plane-major. */
-    mutable std::vector<std::uint32_t> batchRows;
-    /** Coarse tile-coded states, both offsets (2 x n). */
-    mutable std::vector<std::uint32_t> coarseScratch;
 };
 
 } // namespace athena

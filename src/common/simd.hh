@@ -1,175 +1,14 @@
-/**
- * @file
- * SIMD backend selection and the widened integer/float kernels
- * behind the batched inference plane.
- *
- * Two backends share every kernel's contract:
- *  - kScalar: the PR 9 straight-line loops, verbatim — the
- *    reference semantics and the fallback on non-x86 builds or
- *    pre-AVX2 hosts.
- *  - kAvx2: explicit 4x64-bit (hash) / 8x32-bit (scan) widening,
- *    compiled per-function with the avx2 target attribute so the
- *    translation unit builds without -mavx2 and the wide paths are
- *    only ever entered after a runtime CPU check.
- *
- * Every kernel is bit-identical across backends: the hash kernels
- * are pure integer math (the AVX2 64-bit multiply is emulated
- * exactly from 32x32 partial products), and the float accumulators
- * perform the same single IEEE add/divide per element in the same
- * order — lanes are independent accumulators, never reassociated
- * sums.
- *
- * Dispatch happens once at plane construction: consumers capture
- * activeBackend() in a member and branch on it per batch, so a
- * mid-run override cannot tear a plane between backends.
- * `ATHENA_SIMD=scalar|avx2|auto` (default auto) picks the
- * process-wide backend; forceBackend() is the in-process override
- * the bench A/B driver and the equivalence tests use between
- * Simulator constructions.
- */
+/** @file Host vector backend name for benchmark output: the
+ *  simulator has one scalar engine, so it is always "scalar". */
 
 #ifndef ATHENA_COMMON_SIMD_HH
 #define ATHENA_COMMON_SIMD_HH
 
-#include <cstddef>
-#include <cstdint>
-
-namespace athena
+namespace athena::simd
 {
-namespace simd
-{
-
-enum class Backend : std::uint8_t
-{
-    kScalar = 0,
-    kAvx2 = 1,
-};
-
-/** Human-readable backend name ("scalar" / "avx2"). */
-const char *backendName(Backend b);
-
-/** True when this build targets x86-64 and the CPU executes AVX2. */
-bool avx2Available();
-
-/** What ATHENA_SIMD asked for. */
-enum class Request : std::uint8_t
-{
-    kAuto = 0,
-    kForceScalar = 1,
-    kForceAvx2 = 2,
-};
-
-/**
- * Parse an ATHENA_SIMD value: "scalar"/"0" force scalar, "avx2"
- * forces AVX2, unset/""/"auto" (and anything unrecognized) is auto.
- */
-Request parseRequest(const char *value);
-
-/**
- * The dispatch rule, pure so tests can pin it: auto resolves to
- * AVX2 exactly when available; a forced AVX2 request falls back to
- * scalar (cleanly, never a crash) when the CPU lacks it.
- */
-Backend resolve(Request request, bool avx2_ok);
-
-/**
- * Process-wide backend: the ATHENA_SIMD request latched once on
- * first use and resolved against the CPU, unless forceBackend() is
- * in effect. Consumers capture this at construction.
- */
-Backend activeBackend();
-
-/** In-process override (clamped to scalar when AVX2 is missing) —
- *  takes effect for planes constructed after the call. */
-void forceBackend(Backend b);
-
-/** Drop the forceBackend() override (back to the env/CPU latch). */
-void clearForcedBackend();
-
-// --- hash kernels -------------------------------------------------
-
-/** out[i] = mix64(in[i]). */
-void mix64Batch(Backend b, const std::uint64_t *in, unsigned n,
-                std::uint64_t *out);
-
-/**
- * rows_out[i] = keyedHash(xs[i], key) & mask — the QVStore
- * plane-row materialization step (mask == rows - 1, rows a power
- * of two, where & equals the scalar path's modulo).
- */
-void keyedHashMaskBatch(Backend b, const std::uint32_t *xs,
-                        unsigned n, std::uint64_t key,
-                        std::uint32_t mask, std::uint32_t *rows_out);
-
-/**
- * POPET's four (pc, addr)-pure feature indices per access,
- * idx[i * 4 + f], table_mask == kTableSize - 1 (power of two).
- * Memo-free: recomputes every hash, exactly like the memo-free
- * scalar kernel.
- */
-void popetPureIndicesBatch(Backend b, const std::uint64_t *pcs,
-                           const std::uint64_t *addrs, unsigned n,
-                           std::uint32_t table_mask,
-                           std::uint16_t *idx);
-
-/**
- * Pythia's delta-sequence fold: out[i] is the 4-step hashCombine
- * fold over keys[i]'s sign-extended bytes, oldest (high byte)
- * first — bit-identical to PythiaPrefetcher::deltaSeqHash.
- */
-void deltaSeqFoldBatch(Backend b, const std::uint32_t *keys,
-                       unsigned n, std::uint64_t *out);
-
-// --- gather-free Q accumulators -----------------------------------
-
-/**
- * q_out[i * actions + a] += plane[rows[i] * actions + a] for all
- * i < n, a < actions. One IEEE add per element — lanes are
- * independent accumulators, so the result is bit-identical to the
- * scalar loop for any backend.
- */
-void accumulateRowsF64(Backend b, const double *plane,
-                       const std::uint32_t *rows, unsigned n,
-                       unsigned actions, double *q_out);
-
-/**
- * Quantized variant: q_out[i * actions + a] +=
- * double(plane[rows[i] * actions + a]) / scale. The int8->double
- * conversion and the divide (scale a power of two) are exact, so
- * backends agree bitwise.
- */
-void accumulateRowsI8(Backend b, const std::int8_t *plane,
-                      const std::uint32_t *rows, unsigned n,
-                      unsigned actions, double scale,
-                      double *q_out);
-
-// --- strided byte scans (record-window load discovery) ------------
-
-/**
- * First index i in [pos, end) with base[i * stride] == value, or
- * end. The AVX2 path gathers 32-bit words, so the caller must
- * guarantee base[i * stride + 3] is readable for every i < end
- * (true for any field at byte offset <= stride - 4 of a packed
- * record array, e.g. TraceRecord::kind).
- */
-unsigned scanStridedByteEq(Backend b, const unsigned char *base,
-                           unsigned stride, unsigned pos,
-                           unsigned end, unsigned char value);
-
-/**
- * Collect up to max_out indices i in [*pos, end) with
- * base[i * stride] == value into out[], advancing *pos to the
- * first unexamined index (exactly one past the last accepted match
- * when the quota fills mid-span — the PR 9 loop's stopping point).
- * Returns the number collected. Same readability precondition as
- * scanStridedByteEq.
- */
-unsigned collectStridedByteEq(Backend b, const unsigned char *base,
-                              unsigned stride, unsigned *pos,
-                              unsigned end, unsigned char value,
-                              std::uint16_t *out, unsigned max_out);
-
-} // namespace simd
-} // namespace athena
+enum class Backend { kScalar };
+inline Backend activeBackend() { return Backend::kScalar; }
+inline const char *backendName(Backend) { return "scalar"; }
+} // namespace athena::simd
 
 #endif // ATHENA_COMMON_SIMD_HH

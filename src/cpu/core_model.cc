@@ -47,8 +47,6 @@ CoreModel::refillBatch()
     if (streamDone)
         return false;
     batchPos = 0;
-    batchBase = 0;
-    ++refills;
     batchLen = static_cast<unsigned>(
         workload.nextBatch(batchBuf.data(), kBatchCapacity));
     // A short return is the end-of-stream signal (only legal there,
@@ -292,8 +290,6 @@ CoreModel::reset()
     batchPos = 0;
     batchLen = 0;
     streamDone = false;
-    refills = 0;
-    batchBase = 0;
     stats = CoreCounters{};
 }
 
@@ -365,12 +361,6 @@ CoreModel::restoreState(SnapshotReader &r)
                             "(corrupted snapshot)");
     }
     streamDone = r.boolean();
-    // Only [batchPos, batchLen) travels with the snapshot; earlier
-    // positions never rematerialize, so the collectible window
-    // starts at the restored cursor. The refill sequence restarts
-    // at 0 — collectors key off inequality, not absolute values.
-    batchBase = batchPos;
-    refills = 0;
     for (unsigned i = batchPos; i < batchLen; ++i) {
         TraceRecord &rec = batchBuf[i];
         rec.pc = r.u64();

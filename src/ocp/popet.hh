@@ -19,9 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/hashing.hh"
 #include "common/sat_counter.hh"
-#include "common/simd.hh"
 #include "ocp/ocp.hh"
 
 namespace athena
@@ -36,159 +34,6 @@ class PopetPredictor final : public OffChipPredictor
 
     bool predict(std::uint64_t pc, Addr addr) override;
     void train(std::uint64_t pc, Addr addr, bool went_offchip) override;
-
-    /** Feature-table indices that are pure in (pc, addr) — all but
-     *  the PC-history feature. */
-    static constexpr unsigned kPureFeatures = 4;
-
-    /**
-     * SoA batch kernel over the (pc, addr)-pure features: fills
-     * idx[i * kPureFeatures + f] for the first four feature tables
-     * of each of the @p n accesses. Straight-line branch-free
-     * hashing (auto-vectorizable); recomputes the pc/page hash
-     * terms instead of probing the scalar path's memos — pure
-     * functions, so the results are bit-identical. The window
-     * collector runs this once per pulled record batch.
-     */
-    static void pureFeatureIndicesBatch(const std::uint64_t *pcs,
-                                        const Addr *addrs,
-                                        unsigned n,
-                                        std::uint16_t *idx);
-
-    /**
-     * Backend-dispatched variant: the scalar backend is the
-     * memo-free loop above verbatim; the AVX2 backend hashes four
-     * accesses per step through the widened mix64 (the kTableSize
-     * modulo becomes a lane mask — identical, the table size is a
-     * power of two). Bit-identical across backends.
-     */
-    static void pureFeatureIndicesBatch(simd::Backend backend,
-                                        const std::uint64_t *pcs,
-                                        const Addr *addrs,
-                                        unsigned n,
-                                        std::uint16_t *idx);
-
-    /**
-     * Caller-owned memo for the batched pure-feature kernel,
-     * mirroring the scalar path's memos: a small key-validated
-     * pc→(index, hash term) cache plus the last page's index.
-     * Demand streams rotate through a handful of load PCs and
-     * dwell on a page, so both hit nearly always. Pure cache:
-     * every hit is validated against the full key, so results are
-     * bit-identical to the memo-free kernel with any (even stale
-     * or cross-run) memo contents. Reset it whenever convenient;
-     * contents never affect results. (Finer-grained caching — e.g.
-     * memoizing the per-access line/byte mix64 arguments — was
-     * measured slower than hashing: a probe costs a load, compare,
-     * and install store against mix64's handful of ALU ops.)
-     */
-    struct PureBatchMemo
-    {
-        static constexpr unsigned kPcEntries = 16; // power of two
-        struct PcEntry
-        {
-            std::uint64_t pc = 0;
-            std::uint64_t term = 0;
-            std::uint16_t idx = 0;
-            bool valid = false;
-        };
-        std::array<PcEntry, kPcEntries> pcs{};
-        std::uint64_t page = ~0ull;
-        std::uint16_t pageIdx = 0;
-        bool pageValid = false;
-
-        void reset() { *this = PureBatchMemo{}; }
-    };
-
-    /**
-     * pureFeatureIndicesBatch with a persistent memo. Same outputs
-     * as the memo-free kernel for any memo state.
-     */
-    static void pureFeatureIndicesBatch(const std::uint64_t *pcs,
-                                        const Addr *addrs,
-                                        unsigned n,
-                                        std::uint16_t *idx,
-                                        PureBatchMemo &memo);
-
-    /**
-     * Memo + backend variant — what the simulator's window
-     * collector runs. The memo probes stay scalar (features 0 and
-     * 3: a validated load beats re-mixing when demand streams
-     * rotate through a handful of PCs and dwell on a page), while
-     * the two per-access offset mixes (features 1 and 2), which no
-     * memo can capture, run through the backend's widened mix64.
-     * Bit-identical to the scalar memo loop for any backend and
-     * memo state.
-     */
-    static void pureFeatureIndicesBatch(simd::Backend backend,
-                                        const std::uint64_t *pcs,
-                                        const Addr *addrs,
-                                        unsigned n,
-                                        std::uint16_t *idx,
-                                        PureBatchMemo &memo);
-
-    /**
-     * One access's four pure feature indices through the batch
-     * memo — the per-row body of the memoized batch kernel,
-     * header-inline so a window collector can fuse it with its
-     * record gather (no intermediate (pc, addr) copy arrays).
-     */
-    static void
-    pureIndicesMemoInto(std::uint64_t pc, Addr addr,
-                        PureBatchMemo &memo, std::uint16_t *out)
-    {
-        unsigned line_off = pageLineOffset(addr);
-        unsigned byte_off =
-            static_cast<unsigned>(addr & (kLineBytes - 1));
-        Addr page = pageNumber(addr);
-
-        auto &pe =
-            memo.pcs[(pc >> 4) & (PureBatchMemo::kPcEntries - 1)];
-        if (!pe.valid || pe.pc != pc) {
-            pe.pc = pc;
-            pe.valid = true;
-            pe.term = pcHashTerm(pc);
-            pe.idx =
-                static_cast<std::uint16_t>(mix64(pc) % kTableSize);
-        }
-        if (!memo.pageValid || page != memo.page) {
-            memo.page = page;
-            memo.pageValid = true;
-            memo.pageIdx = static_cast<std::uint16_t>(mix64(page) %
-                                                      kTableSize);
-        }
-
-        out[0] = pe.idx;
-        out[1] = static_cast<std::uint16_t>(
-            mix64(pc ^ (line_off + pe.term)) % kTableSize);
-        out[2] = static_cast<std::uint16_t>(
-            mix64(pc ^ (byte_off + pe.term)) % kTableSize);
-        out[3] = memo.pageIdx;
-    }
-
-    /**
-     * All five feature-table indices for @p n accesses,
-     * idx[i * 5 + f] row-major, with the PC-history rolling hash
-     * threaded through the batch exactly as n predict() calls
-     * would advance it: entry i's history index reflects the hash
-     * after folding pcs[0..i-1] (the pre-fold hash predict() reads
-     * for access i). Starts from the live lastPcsHash; does not
-     * advance it — the caller owns when the real accesses happen.
-     */
-    void featureIndicesBatch(const std::uint64_t *pcs,
-                             const Addr *addrs, unsigned n,
-                             std::uint16_t *idx) const;
-
-    /**
-     * predict() with the four pure feature indices supplied from a
-     * window-collected batch (pureFeatureIndicesBatch): only the
-     * history feature is hashed at access time. Bit-identical to
-     * predict(pc, addr) — including the train-pairing memo — for
-     * matching (pc, addr); skipping the pc/page memo refresh is
-     * exact because those memos are key-validated pure caches.
-     */
-    bool predictPrepared(std::uint64_t pc, Addr addr,
-                         const std::uint16_t *pure_idx);
 
     void reset() override;
 
@@ -218,19 +63,6 @@ class PopetPredictor final : public OffChipPredictor
     /** Compute the five feature table indices for (pc, addr). */
     std::array<std::uint16_t, kFeatures>
     featureIndices(std::uint64_t pc, Addr addr) const;
-
-    /** hashCombine's pc-only term (shared by the scalar memo path
-     *  and the batch kernels so the formulas cannot drift). */
-    static std::uint64_t
-    pcHashTerm(std::uint64_t pc)
-    {
-        return 0x9e3779b97f4a7c15ull + (pc << 6) + (pc >> 2);
-    }
-
-    /** The four (pc, addr)-pure indices of one access, written to
-     *  out[0..kPureFeatures) (no memo probes). */
-    static void pureIndicesInto(std::uint64_t pc, Addr addr,
-                                std::uint16_t *out);
 
     /**
      * Memos of the (pure) pc- and page-derived hash work inside

@@ -110,41 +110,6 @@ PythiaPrefetcher::deltaSeqHash(std::uint32_t hist_key)
     return seq;
 }
 
-std::uint64_t
-PythiaPrefetcher::seqHashLookup(std::uint32_t key)
-{
-    if (!batchedHashing)
-        return deltaSeqHash(key);
-    SeqMemoEntry &memo = seqMemo[key & (kSeqMemoSize - 1)];
-    if (memo.valid && memo.key == key)
-        return memo.seq;
-    std::uint64_t seq = deltaSeqHash(key);
-    memo = {key, true, seq};
-    return seq;
-}
-
-void
-PythiaPrefetcher::deltaSeqHashBatch(const std::uint32_t *keys,
-                                    unsigned n, std::uint64_t *out)
-{
-    if (backend != simd::Backend::kScalar && batchedHashing &&
-        n > 1) {
-        // Wide path: fold every key four lanes at a time, then
-        // install the memo entries in batch order. The fold is
-        // pure, so out[] matches the probe path bitwise; the final
-        // memo state matches too — each direct-mapped slot ends
-        // with its last writer's {key, seq}, and on a would-be hit
-        // the unconditional install rewrites the identical value.
-        simd::deltaSeqFoldBatch(backend, keys, n, out);
-        for (unsigned i = 0; i < n; ++i)
-            seqMemo[keys[i] & (kSeqMemoSize - 1)] = {keys[i], true,
-                                                     out[i]};
-        return;
-    }
-    for (unsigned i = 0; i < n; ++i)
-        out[i] = seqHashLookup(keys[i]);
-}
-
 void
 PythiaPrefetcher::observeImpl(const PrefetchTrigger &trigger,
                           CandidateVec &out)
@@ -157,13 +122,12 @@ PythiaPrefetcher::observeImpl(const PrefetchTrigger &trigger,
     lastLine = line;
 
     // Feature 1: PC xor last delta. Feature 2: delta sequence —
-    // a pure fold over the packed history key, served through the
-    // shared memo + fold kernel (deltaSeqHashBatch's per-key step;
-    // the key's bytes mirror the oldest-first deltaHistory array).
+    // a pure fold over the packed history key (its bytes mirror the
+    // oldest-first deltaHistory array).
     std::uint64_t f1 =
         hashCombine(trigger.pc, static_cast<std::uint64_t>(
                                     static_cast<std::int64_t>(delta)));
-    std::uint64_t f2 = seqHashLookup(histKey);
+    std::uint64_t f2 = deltaSeqHash(histKey);
     std::rotate(deltaHistory.begin(), deltaHistory.begin() + 1,
                 deltaHistory.end());
     deltaHistory.back() = delta;
@@ -305,7 +269,6 @@ PythiaPrefetcher::reset()
     lastLine = 0;
     deltaHistory.fill(0);
     highBandwidth = false;
-    seqMemo.fill(SeqMemoEntry{});
     histKey = 0;
 }
 
@@ -369,9 +332,6 @@ PythiaPrefetcher::restoreState(SnapshotReader &r)
     highBandwidth = r.boolean();
     rng.setRawState(r.u64());
     histKey = r.u32();
-    // The memo is keyed by histKey and rebuilt lazily; clear it so
-    // stale pre-restore entries cannot alias.
-    seqMemo.fill(SeqMemoEntry{});
 }
 
 } // namespace athena

@@ -5,7 +5,6 @@
 
 #include "prefetch/sms.hh"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -62,8 +61,7 @@ SmsPrefetcher::observeImpl(const PrefetchTrigger &trigger,
     victim->bitmap = 1ull << offset;
     victim->lruStamp = ++lruClock;
 
-    std::uint64_t h = batchedHashing ? keyHashLookup(key)
-                                     : mix64(key);
+    std::uint64_t h = mix64(key);
     const PhtEntry &pe = pht[h % kPhtEntries];
     if (!pe.valid || pe.tag != static_cast<std::uint16_t>(h >> 48))
         return;
@@ -79,38 +77,6 @@ SmsPrefetcher::observeImpl(const PrefetchTrigger &trigger,
     }
 }
 
-std::uint64_t
-SmsPrefetcher::keyHashLookup(std::uint64_t key)
-{
-    KeyMemoEntry &m = keyMemo[key & (kKeyMemoSize - 1)];
-    if (m.valid && m.key == key)
-        return m.hash;
-    std::uint64_t h = mix64(key);
-    m = {key, h, true};
-    return h;
-}
-
-void
-SmsPrefetcher::prepareTriggerBatch(const std::uint64_t *pcs,
-                                   const Addr *addrs, unsigned n)
-{
-    if (!batchedHashing)
-        return;
-    std::uint64_t keys[32];
-    std::uint64_t hashes[32];
-    for (unsigned i = 0; i < n; i += 32) {
-        unsigned chunk = std::min(32u, n - i);
-        for (unsigned j = 0; j < chunk; ++j)
-            keys[j] = keyOf(pcs[i + j],
-                            pageLineOffset(addrs[i + j]));
-        simd::mix64Batch(backend, keys, chunk, hashes);
-        for (unsigned j = 0; j < chunk; ++j)
-            keyMemo[keys[j] & (kKeyMemoSize - 1)] = {keys[j],
-                                                     hashes[j],
-                                                     true};
-    }
-}
-
 void
 SmsPrefetcher::reset()
 {
@@ -119,8 +85,6 @@ SmsPrefetcher::reset()
     for (auto &e : pht)
         e = PhtEntry{};
     lruClock = 0;
-    // Pure cache: clearing can never change results.
-    keyMemo.fill(KeyMemoEntry{});
 }
 
 void
@@ -159,9 +123,6 @@ SmsPrefetcher::restoreState(SnapshotReader &r)
         e.bitmap = r.u64();
     }
     lruClock = r.u64();
-    // Not serialized: the key memo is a pure cache and is rebuilt
-    // on demand after restore.
-    keyMemo.fill(KeyMemoEntry{});
 }
 
 } // namespace athena

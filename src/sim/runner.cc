@@ -44,6 +44,19 @@ hex64(std::uint64_t v)
     return buf;
 }
 
+/** Order-sensitive combination of a mix's per-core workload hashes
+ *  (core assignment matters: the mix [a,b] is not the mix [b,a]). */
+std::uint64_t
+mixKey(const std::vector<WorkloadSpec> &specs)
+{
+    std::uint64_t key = 1469598103934665603ull;
+    for (const WorkloadSpec &s : specs) {
+        key ^= workloadKey(s);
+        key *= 1099511628211ull;
+    }
+    return key;
+}
+
 } // namespace
 
 void
@@ -144,20 +157,31 @@ SimResult
 ExperimentRunner::runMix(const SystemConfig &config,
                          const std::vector<WorkloadSpec> &specs) const
 {
-    // Mix key: config hash plus an order-sensitive combination of
-    // the per-core workload hashes (core assignment matters — the
-    // mix [a,b] is not the mix [b,a]) plus the mix warmup length.
-    std::uint64_t mix_key = 1469598103934665603ull;
-    for (const WorkloadSpec &s : specs) {
-        mix_key ^= workloadKey(s);
-        mix_key *= 1099511628211ull;
-    }
+    // Mix key: config hash, core count, mixKey and the mix warmup
+    // length.
     const std::uint64_t warm = budget.mcWarmupInstructions;
     return runCached(config, specs, budget.mcSimInstructions, warm,
                      hex64(config.configKey()) + "-mix" +
                          std::to_string(specs.size()) + "-" +
-                         hex64(mix_key) + "-" +
+                         hex64(mixKey(specs)) + "-" +
                          std::to_string(warm));
+}
+
+SimResult
+ExperimentRunner::memoMix(const SystemConfig &config,
+                          const std::vector<WorkloadSpec> &specs)
+{
+    const MixCacheKey key{mixKey(specs), specs.size(),
+                          config.configKey()};
+    {
+        std::shared_lock<std::shared_mutex> lock(cacheMutex);
+        auto it = mixCache.find(key);
+        if (it != mixCache.end())
+            return it->second;
+    }
+    SimResult res = runMix(config, specs);
+    std::unique_lock<std::shared_mutex> lock(cacheMutex);
+    return mixCache.try_emplace(key, std::move(res)).first->second;
 }
 
 SimResult
@@ -297,8 +321,8 @@ ExperimentRunner::mixSpeedup(const SystemConfig &config,
     SystemConfig base = config;
     base.policy = PolicyKind::kAllOff;
 
-    SimResult base_res = runMix(base, mix_specs);
-    SimResult res = runMix(config, mix_specs);
+    SimResult base_res = memoMix(base, mix_specs);
+    SimResult res = memoMix(config, mix_specs);
 
     std::vector<double> per_core;
     for (std::size_t c = 0; c < res.cores.size(); ++c) {

@@ -35,6 +35,7 @@
 #include <set>
 #include <shared_mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -154,7 +155,9 @@ class ExperimentRunner
     /**
      * Multi-core mix speedup: geomean over cores of per-core IPC
      * relative to the same mix under the all-off policy. Both runs
-     * go through the runMix warmup cache.
+     * go through the mix result memo (so the all-off baseline of a
+     * mix simulates once per runner, whatever the number of
+     * configs) and, on a miss, the runMix warmup cache.
      */
     double mixSpeedup(const SystemConfig &config,
                       const std::vector<WorkloadSpec> &mix_specs);
@@ -176,6 +179,10 @@ class ExperimentRunner
     /** runOne through #resultCache: simulates only on a miss. */
     SimResult memoRun(const SystemConfig &config,
                       const WorkloadSpec &spec);
+
+    /** runMix through #mixCache: simulates only on a miss. */
+    SimResult memoMix(const SystemConfig &config,
+                      const std::vector<WorkloadSpec> &specs);
 
     /** Shared warmup-snapshot-cache machinery behind runOne and
      *  runMix: resume from dir/cache_key.asnp when present, else
@@ -203,6 +210,10 @@ class ExperimentRunner
      */
     std::map<std::pair<std::uint64_t, std::uint64_t>, SimResult>
         resultCache;
+    /** (mixKey, core count, config hash) -> result of that mix. */
+    using MixCacheKey =
+        std::tuple<std::uint64_t, std::size_t, std::uint64_t>;
+    std::map<MixCacheKey, SimResult> mixCache;
     /** pf-only config hash -> adverse workload names. */
     std::map<std::uint64_t, std::set<std::string>> adverseCache;
 

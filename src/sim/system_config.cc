@@ -87,10 +87,6 @@ SystemConfig::configKey() const
     h.u64(core.l1Mshrs);
     h.u64(core.aluLatency);
     h.u64(seed);
-    // batchedInference is deliberately NOT hashed: the batched and
-    // scalar paths are bit-identical by contract (enforced by the
-    // equivalence suite), so results keyed either way are
-    // interchangeable — exactly like the cosmetic label.
     // Policy-specific configuration only matters when that policy
     // runs — hashing it unconditionally would needlessly split
     // cache keys between sweeps that differ only in, say, Athena

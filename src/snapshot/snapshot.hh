@@ -48,8 +48,10 @@ namespace athena
 
 /** Format version: bump on any incompatible layout change.
  *  v2: sharded shared-memory plane — per-shard `llc/b<i>` /
- *  `dram/ch<j>` sections and shard geometry in `meta`. */
-constexpr std::uint16_t kSnapshotVersion = 2;
+ *  `dram/ch<j>` sections and shard geometry in `meta`.
+ *  v3: the Athena agent section drops its buffered-training triple
+ *  list (SARSA updates apply as each epoch closes). */
+constexpr std::uint16_t kSnapshotVersion = 3;
 /** Width of the section tag field (NUL-padded). */
 constexpr std::size_t kSnapshotTagBytes = 24;
 /** Snapshot file magic. */

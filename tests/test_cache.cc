@@ -865,7 +865,14 @@ fixedSequenceDigest(const CacheParams &p)
           }
         }
     }
-    return fnv1a(snapshotBytes(c));
+    // The header's u16 format version (offset 4) is stamped with
+    // the v2 value the digests below were recorded under, so they
+    // pin the cache section's layout, not the file version (the
+    // version check has its own tests in test_snapshot.cc).
+    std::vector<std::uint8_t> bytes = snapshotBytes(c);
+    bytes[4] = 2;
+    bytes[5] = 0;
+    return fnv1a(bytes);
 }
 
 TEST(CacheSnapshot, FormatDigestsUnchanged)

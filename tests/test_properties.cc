@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "common/rng.hh"
 #include "sim/simulator.hh"
@@ -82,6 +84,55 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         }
         return name;
+    });
+
+/**
+ * The same invariants under Athena on the designs that together
+ * cover POPET, Pythia, SMS and IPCP (CD1: POPET + Pythia; CD3:
+ * POPET + SMS + Pythia; CD4: POPET + IPCP + Pythia), over one
+ * streaming, one pointer-chasing and one region-spatial zoo
+ * workload.
+ */
+class AthenaInvariants
+    : public ::testing::TestWithParam<std::tuple<CacheDesign, Pattern>>
+{};
+
+/** First evaluation workload whose first phase has @p pattern. */
+WorkloadSpec
+zooWorkloadWith(Pattern pattern)
+{
+    for (const WorkloadSpec &spec : evalWorkloads()) {
+        if (!spec.phases.empty() && spec.phases[0].pattern == pattern)
+            return spec;
+    }
+    throw std::logic_error("no zoo workload with that pattern");
+}
+
+TEST_P(AthenaInvariants, Hold)
+{
+    const auto [design, pattern] = GetParam();
+    SystemConfig cfg = makeDesignConfig(design, PolicyKind::kAthena);
+    Simulator sim(cfg, {zooWorkloadWith(pattern)});
+    SimResult res = sim.run({30000, 8000});
+    checkInvariants(res, 30000);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, AthenaInvariants,
+    ::testing::Combine(::testing::Values(CacheDesign::kCd1,
+                                         CacheDesign::kCd3,
+                                         CacheDesign::kCd4),
+                       ::testing::Values(Pattern::kStream,
+                                         Pattern::kChase,
+                                         Pattern::kRegionSpatial)),
+    [](const ::testing::TestParamInfo<AthenaInvariants::ParamType>
+           &info) {
+        const Pattern pattern = std::get<1>(info.param);
+        const char *name = pattern == Pattern::kStream  ? "Stream"
+                           : pattern == Pattern::kChase ? "Chase"
+                                                        : "RegionSpatial";
+        return cacheDesignName(std::get<0>(info.param)) +
+               std::string(name);
     });
 
 /** Randomized configuration fuzz: any combination of components

@@ -237,6 +237,38 @@ TEST_F(RunnerTest, MixSpeedupIsPositive)
     EXPECT_LT(s, 4.0);
 }
 
+TEST_F(RunnerTest, MixBaselineSimulatesOncePerRunner)
+{
+    // Naive then Athena on the same 4-core mix share one all-off
+    // baseline: three mix runs of 4 cores x 1000 warmup
+    // instructions, not four.
+    RunBudget budget = RunBudget::fromEnv();
+    budget.mcWarmupInstructions = 1000;
+    auto workloads = evalWorkloads();
+    std::vector<WorkloadSpec> mix = {workloads[0], workloads[5],
+                                     workloads[10], workloads[15]};
+    SystemConfig naive =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kNaive);
+    naive.cores = 4;
+    SystemConfig athena_cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
+    athena_cfg.cores = 4;
+
+    unsetenv("ATHENA_SNAPSHOT_DIR");
+    ExperimentRunner runner(budget);
+    double naive_s = runner.mixSpeedup(naive, mix);
+    double athena_s = runner.mixSpeedup(athena_cfg, mix);
+    EXPECT_EQ(runner.warmupInstructionsSimulated(), 12000u);
+
+    // Same speedups as runners that simulate each config's
+    // baseline from scratch.
+    ExperimentRunner fresh_naive(budget);
+    EXPECT_EQ(naive_s, fresh_naive.mixSpeedup(naive, mix));
+    ExperimentRunner fresh_athena(budget);
+    EXPECT_EQ(athena_s, fresh_athena.mixSpeedup(athena_cfg, mix));
+    EXPECT_EQ(fresh_athena.warmupInstructionsSimulated(), 8000u);
+}
+
 TEST_F(RunnerTest, BaselineCacheSafeUnderConcurrentCalls)
 {
     // Hammer the baseline cache from many threads with a mix of

@@ -160,6 +160,31 @@ TEST(SnapshotRobustness, WrongVersionIsRejected)
     EXPECT_THROW(SnapshotReader r(std::move(bytes)), SnapshotError);
 }
 
+TEST(SnapshotRobustness, V2FileIsRejectedAsWrongVersion)
+{
+    // v2 agent sections carried a buffered-training triple list that
+    // v3 no longer reads, so a v2 file must fail at the header, not
+    // misparse mid-section.
+    ASSERT_EQ(kSnapshotVersion, 3);
+    SnapshotWriter w;
+    w.beginSection("s");
+    w.u64(1);
+    w.endSection();
+    auto bytes = w.serialize();
+    bytes[4] = 2;
+    bytes[5] = 0;
+    try {
+        SnapshotReader r(std::move(bytes));
+        FAIL() << "expected SnapshotError";
+    } catch (const SnapshotError &e) {
+        EXPECT_EQ(e.section(), "");
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported snapshot version 2"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(SnapshotRobustness, TruncatedPayloadNamesSection)
 {
     SnapshotWriter w;

@@ -195,6 +195,61 @@ TEST_F(SnapshotCacheTest, CorruptCacheEntryFallsBackToFreshRun)
               smallBudget().warmupInstructions);
 }
 
+TEST_F(SnapshotCacheTest, OldVersionEntryIsResimulated)
+{
+    // A cache entry written by the v2 format (stamped here by
+    // rewriting the header's version field) is a miss: the runner
+    // re-simulates warmup, and its result is bit-identical to a
+    // cold run with no cache at all.
+    auto workloads = evalWorkloads();
+    const WorkloadSpec &spec = workloads.front();
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
+
+    unsetenv("ATHENA_SNAPSHOT_DIR");
+    ExperimentRunner plain(smallBudget());
+    SimResult want = plain.runOne(cfg, spec);
+    setenv("ATHENA_SNAPSHOT_DIR", dir.c_str(), 1);
+
+    ExperimentRunner writer(smallBudget());
+    (void)writer.runOne(cfg, spec);
+    std::size_t stamped = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir)) {
+        std::fstream f(entry.path(), std::ios::binary | std::ios::in |
+                                         std::ios::out);
+        f.seekp(4);
+        const char v2[2] = {2, 0}; // little-endian u16 version
+        f.write(v2, 2);
+        ++stamped;
+    }
+    ASSERT_EQ(stamped, 1u);
+
+    ExperimentRunner reader(smallBudget());
+    SimResult got = reader.runOne(cfg, spec);
+    EXPECT_EQ(reader.warmupInstructionsSimulated(),
+              smallBudget().warmupInstructions);
+    ASSERT_EQ(got.cores.size(), 1u);
+    const SimResult::PerCore &g = got.cores[0];
+    const SimResult::PerCore &w = want.cores[0];
+    EXPECT_EQ(g.ipc, w.ipc);
+    EXPECT_EQ(g.cycles, w.cycles);
+    EXPECT_EQ(g.loads, w.loads);
+    EXPECT_EQ(g.llcMisses, w.llcMisses);
+    EXPECT_EQ(g.llcMissLatency, w.llcMissLatency);
+    EXPECT_EQ(g.ocpPredictions, w.ocpPredictions);
+    EXPECT_EQ(g.ocpCorrect, w.ocpCorrect);
+    EXPECT_EQ(g.actionHistogram, w.actionHistogram);
+    for (std::size_t s = 0; s < g.pf.size(); ++s) {
+        EXPECT_EQ(g.pf[s].issued, w.pf[s].issued) << "slot " << s;
+        EXPECT_EQ(g.pf[s].used, w.pf[s].used) << "slot " << s;
+    }
+    EXPECT_EQ(got.dram.demandRequests, want.dram.demandRequests);
+    EXPECT_EQ(got.dram.prefetchRequests, want.dram.prefetchRequests);
+    EXPECT_EQ(got.dram.ocpRequests, want.dram.ocpRequests);
+    EXPECT_EQ(got.busUtilization, want.busUtilization);
+}
+
 TEST_F(SnapshotCacheTest, DisabledWithoutEnvVar)
 {
     unsetenv("ATHENA_SNAPSHOT_DIR");
